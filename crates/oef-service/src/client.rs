@@ -352,7 +352,8 @@ impl ServiceClient {
     ///
     /// # Errors
     ///
-    /// See [`ServiceClient::call`]; unsharded daemons reject the command.
+    /// See [`ServiceClient::call`]; a move to the tenant's own shard or to a
+    /// missing one is rejected.
     pub fn migrate_tenant(&mut self, tenant: u64, shard: usize) -> ClientResult<u64> {
         match self.call(Command::MigrateTenant { tenant, shard })? {
             Response::TenantMigrated { tenant, .. } => Ok(tenant),
@@ -365,7 +366,8 @@ impl ServiceClient {
     ///
     /// # Errors
     ///
-    /// See [`ServiceClient::call`]; unsharded daemons reject the command.
+    /// See [`ServiceClient::call`]; a bare `SchedulerService` server rejects
+    /// the command.
     pub fn rebalance(&mut self) -> ClientResult<RebalanceReport> {
         match self.call(Command::Rebalance)? {
             Response::Rebalanced(report) => Ok(report),

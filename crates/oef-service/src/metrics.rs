@@ -108,8 +108,8 @@ impl ServiceMetrics {
 
     /// Registers the front-door series (command throughput/rejections) in
     /// `registry`.  Call once on whichever core owns the daemon's command
-    /// queue — the unsharded service or the federation coordinator, never
-    /// both.
+    /// queue — a bare service served on its own or the federation
+    /// coordinator, never both.
     pub fn register_front(&self, registry: &Registry) {
         registry.register_counter(
             "oef_commands_processed_total",

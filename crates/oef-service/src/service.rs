@@ -211,7 +211,7 @@ pub struct SchedulerService {
     /// Shard index this core records attribution under: handles fed to the
     /// shared registry are wire-tagged (`sharded::encode`) so per-shard
     /// locals can never collide across a federation.  0 (the identity
-    /// encoding) for an unsharded daemon.
+    /// encoding) for a service served on its own.
     attrib_shard: usize,
     /// Process-lifetime clock for `Status.uptime_secs`; survives `Restore`
     /// (state age and process age are different things).
@@ -427,8 +427,9 @@ impl SchedulerService {
     /// (command throughput/rejections, queue depth, uptime) plus its own
     /// solve and fairness series as shard 0.
     ///
-    /// This is the unsharded daemon's attach; a federation coordinator owns
-    /// the front door itself and attaches each shard via
+    /// This is the attach of a service served on its own (tests, examples,
+    /// in-process benches); a federation coordinator owns the front door
+    /// itself and attaches each shard via
     /// [`Self::attach_shard_observability`].
     pub fn attach_observability(&mut self, registry: &Registry) {
         self.metrics.register_front(registry);
@@ -1115,7 +1116,8 @@ impl SchedulerService {
         })
     }
 
-    /// The v2 snapshot JSON, independent of the command dispatch and its
+    /// The snapshot record JSON (the per-shard entry of a v5 federated
+    /// envelope), independent of the command dispatch and its
     /// shutting-down gate: durable wrappers checkpoint *after* a `Shutdown`
     /// has been accepted, when the wire `Snapshot` command is already
     /// refused.
@@ -1239,7 +1241,8 @@ impl CommandHandler for SchedulerService {
     }
 
     fn attach_attribution(&mut self, attrib: &AttributionRegistry) {
-        // An unsharded daemon is wire-identical to shard 0 of a federation.
+        // A service served on its own is wire-identical to shard 0 of a
+        // federation.
         SchedulerService::attach_attribution(self, attrib.clone(), 0);
     }
 }

@@ -1,14 +1,15 @@
-//! Durable snapshot of the full service state.
+//! Durable snapshot of one scheduler's full state.
 //!
-//! A snapshot captures everything a restarted daemon needs to resume
-//! mid-trace: the cluster state (topology, tenants, jobs, progress), the
+//! This is the per-shard record of the daemon's v5 federated envelope
+//! (`oef-shard`): the daemon never reads or writes it on its own.  A record
+//! captures everything a restarted shard needs to resume mid-trace: the cluster state (topology, tenants, jobs, progress), the
 //! service clock, the stable tenant handles, plus the configuration the
 //! state was produced under.  Solver caches are deliberately *not* captured
 //! — they are per-process working state, and the first post-restore solve
 //! rebuilds them (cold) without changing any allocation.
 //!
-//! **Versioning.**  The `version` field gates compatibility: a daemon only
-//! restores snapshots of its own layout version and refuses others with a
+//! **Versioning.**  The `version` field gates compatibility: a service only
+//! restores records of its own layout version and refuses others with a
 //! structured error (never a panic mid-parse).  v2 (current) stores both
 //! identity maps as full generational slot-maps — the host handle map rides
 //! inside the topology, the tenant one in `tenant_handles` — including slot

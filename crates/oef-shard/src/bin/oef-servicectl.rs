@@ -1,7 +1,7 @@
 //! Operator client for `oef-serviced`.
 //!
 //! ```text
-//! oef-servicectl status   <addr>          # print a status line (per shard when sharded)
+//! oef-servicectl status   <addr>          # print a status line and one line per shard
 //! oef-servicectl status --shards <addr>   # per-shard load + forwarding-table view
 //! oef-servicectl metrics  <addr>          # print the metrics registry as JSON
 //! oef-servicectl check-metrics <addr>     # validate a /metrics exposition endpoint (CI)
@@ -20,7 +20,6 @@
 //! oef-servicectl smoke-shard <addr>       # scripted cross-shard session (CI, --shards daemon)
 //! oef-servicectl smoke-crash-prepare <addr> <file>  # build state, record it (CI crash test)
 //! oef-servicectl smoke-crash-verify  <addr> <file>  # check a recovered daemon against the record
-//! oef-servicectl migrate-snapshot <in> <out>  # wrap v2 / upgrade v3 or v4 into a v5 envelope
 //! ```
 //!
 //! `smoke` drives a short but complete session — two tenants join, submit
@@ -54,16 +53,12 @@
 //! recorded `gpu_shares` and `estimated_throughput` to 1e-6, and every
 //! pre-crash handle and job id still resolving.
 //!
-//! `migrate-snapshot` is offline (no daemon involved): it validates a v2
-//! snapshot file and wraps it into a single-shard federated (v5) envelope —
-//! or, given a v3/v4 envelope from a PR-4/PR-5-era federation, upgrades it
-//! in place (journal epoch zero; v3 also gets an empty forwarding table and
-//! default rebalancer) — that `oef-serviced --restore` will serve as a
-//! coordinator.  Snapshot files are written atomically (temp file + fsync +
+//! `snapshot` writes the daemon's v5 envelope — the only snapshot format,
+//! and what `oef-serviced --restore` reads — atomically (temp file + fsync +
 //! rename), so a crash mid-write never leaves a torn snapshot behind.
 //!
-//! Handles render as `shard:slot@generation` (e.g. `0:3@1`) — the unsharded
-//! daemon is shard 0.
+//! Handles render as `shard:slot@generation` (e.g. `0:3@1`) — a one-shard
+//! daemon's handles are all shard 0.
 
 use oef_core::sharded;
 use oef_service::{ClientResult, ServiceClient};
@@ -111,7 +106,6 @@ fn main() {
         [cmd, addr] if cmd == "smoke-shard" => smoke_shard(addr),
         [cmd, addr, file] if cmd == "smoke-crash-prepare" => smoke_crash_prepare(addr, file),
         [cmd, addr, file] if cmd == "smoke-crash-verify" => smoke_crash_verify(addr, file),
-        [cmd, input, output] if cmd == "migrate-snapshot" => migrate_snapshot(input, output),
         _ => {
             eprintln!(
                 "usage: oef-servicectl <status|metrics|tick|rebalance|shutdown|smoke|smoke-shard> \
@@ -123,8 +117,7 @@ fn main() {
                  \x20      oef-servicectl migrate <addr> <tenant-handle> <shard>\n\
                  \x20      oef-servicectl snapshot <addr> <file>\n\
                  \x20      oef-servicectl smoke-crash-prepare <addr> <file>\n\
-                 \x20      oef-servicectl smoke-crash-verify <addr> <file>\n\
-                 \x20      oef-servicectl migrate-snapshot <v2-v3-or-v4-file> <v5-file>"
+                 \x20      oef-servicectl smoke-crash-verify <addr> <file>"
             );
             std::process::exit(2);
         }
@@ -172,10 +165,6 @@ fn status(addr: &str) -> ClientResult<()> {
 /// table's health.
 fn status_shards(addr: &str) -> ClientResult<()> {
     let report = ServiceClient::connect(addr)?.status()?;
-    if report.shards.is_empty() {
-        println!("daemon is unsharded (single scheduler, shard 0)");
-        return Ok(());
-    }
     println!(
         "{} shard(s), round {}, forwarding table: {} entr{} (depth {})",
         report.shards.len(),
@@ -722,45 +711,6 @@ fn snapshot(addr: &str, file: &str) -> ClientResult<()> {
     oef_journal::atomic_write(std::path::Path::new(file), snapshot.as_bytes())
         .map_err(oef_service::ClientError::Io)?;
     println!("snapshot written to {file}");
-    Ok(())
-}
-
-fn migrate_snapshot(input: &str, output: &str) -> ClientResult<()> {
-    let source = std::fs::read_to_string(input).map_err(oef_service::ClientError::Io)?;
-    // Dispatch on the input's version: v2 snapshots wrap into a single-shard
-    // envelope, v3 and v4 envelopes upgrade in place.  Anything else (v1
-    // included) flows through the v2 wrapper, whose validation produces the
-    // same structured refusals the daemon would.
-    let version = serde_json::from_str::<serde::Value>(&source)
-        .ok()
-        .and_then(|v| v.get("version").and_then(serde::Value::as_u64));
-    let (envelope, what) = match version {
-        Some(3) => (
-            oef_shard::upgrade_v3_snapshot(&source)
-                .map_err(|e| oef_service::ClientError::Protocol(e.to_string()))?,
-            "upgraded v3 envelope",
-        ),
-        Some(4) => (
-            oef_shard::upgrade_v4_snapshot(&source)
-                .map_err(|e| oef_service::ClientError::Protocol(e.to_string()))?,
-            "upgraded v4 envelope",
-        ),
-        _ => (
-            oef_shard::wrap_v2_snapshot(&source)
-                .map_err(|e| oef_service::ClientError::Protocol(e.to_string()))?,
-            "wrapped v2 snapshot",
-        ),
-    };
-    let json = serde_json::to_string(&envelope)
-        .map_err(|e| oef_service::ClientError::Protocol(e.to_string()))?;
-    oef_journal::atomic_write(std::path::Path::new(output), json.as_bytes())
-        .map_err(oef_service::ClientError::Io)?;
-    println!(
-        "{what} {input} (round {}, {} shard(s)) into v{} envelope {output}",
-        envelope.round,
-        envelope.shards.len(),
-        oef_shard::FEDERATED_SNAPSHOT_VERSION,
-    );
     Ok(())
 }
 

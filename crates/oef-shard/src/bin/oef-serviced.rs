@@ -5,6 +5,7 @@
 //!              [--round-secs SECS] [--fluid] [--max-tenants N] [--shards N]
 //!              [--placement NAME] [--restore FILE]
 //!              [--journal-dir DIR] [--fsync-every N] [--compact-every N]
+//!              [--trace-sample N]
 //! ```
 //!
 //! Binds the address (port 0 picks an ephemeral port), prints one
@@ -18,21 +19,21 @@
 //! <addr>` line.  Scrapes read the same atomic cells the worker thread
 //! updates — they never queue behind (or block) commands.
 //!
-//! With `--shards N` (N ≥ 2) the daemon serves a [`ShardCoordinator`]: N
-//! independent scheduler shards (one paper-cluster topology each), handles
-//! tagged with their shard index, ticks solved in parallel.  `--placement`
-//! picks the tenant/host placement strategy (`least-loaded`, the default, or
-//! `round-robin`).  Admission quotas are **per shard**: `--max-tenants M`
-//! with `--shards N` admits up to N × M tenants federation-wide.  Without
-//! `--shards` the daemon is the classic unsharded service — wire-identical
-//! to shard 0 of a federation.
+//! The daemon always serves one [`ShardCoordinator`]: `--shards N`
+//! independent scheduler shards (N ≥ 1, default 1; one paper-cluster
+//! topology each), handles tagged with their shard index, ticks solved in
+//! parallel.  Shard 0 uses the identity handle encoding, so the default
+//! one-shard daemon mints exactly the handles a lone `SchedulerService`
+//! would.  `--placement` picks the tenant/host placement strategy
+//! (`least-loaded`, the default, or `round-robin`).  Admission quotas are
+//! **per shard**: `--max-tenants M` with `--shards N` admits up to N × M
+//! tenants federation-wide.
 //!
-//! With `--restore`, the daemon resumes from a snapshot file written by
+//! With `--restore`, the daemon resumes from a v5 snapshot file written by
 //! `oef-servicectl snapshot` (or the `Snapshot` wire command) instead of
-//! starting empty; the file's `version` field decides the shape (v2 → one
-//! unsharded daemon, v5 federated envelope → coordinator; v3/v4 envelopes
-//! are refused with a pointer at `oef-servicectl migrate-snapshot`), so no
-//! topology flags apply.
+//! starting empty.  The file carries the shard count and the configuration,
+//! so no topology or config flags apply.  v5 is the only snapshot format:
+//! any other file is refused (exit 2) with a message naming it.
 //!
 //! With `--journal-dir DIR` the daemon is **durable**: every mutating
 //! command is written to an append-only, checksummed journal *before* it is
@@ -44,13 +45,13 @@
 //! apply (the checkpoint's embedded config wins).  `--fsync-every N` group-
 //! commits: fsync after every N-th append (1 = synchronous, the default;
 //! larger batches trade a bounded window of acknowledged-but-unsynced
-//! commands for throughput).  A journaled daemon always serves a
-//! coordinator (`--shards` defaults to 1; the v5 envelope is the journaled
-//! checkpoint format), and a clean shutdown checkpoints on exit so restart
-//! never needs tail replay.
+//! commands for throughput).  Both journal flags are refused without
+//! `--journal-dir`.  The v5 envelope is the journaled checkpoint format,
+//! and a clean shutdown checkpoints on exit so restart never needs tail
+//! replay.
 
 use oef_cluster::ClusterTopology;
-use oef_service::{CommandHandler, SchedulerService, Server, ServiceConfig};
+use oef_service::{CommandHandler, Server, ServiceConfig};
 use oef_shard::{placement_from_name, JournalOptions, Journaled, ShardCoordinator};
 use oef_trace::{TraceRing, Tracer};
 use std::io::Write;
@@ -72,6 +73,8 @@ struct Args {
     /// recovery reject these instead of silently ignoring them (the
     /// snapshot's embedded config wins on a restore).
     config_flags: Vec<String>,
+    /// Journal flags seen on the command line; they need `--journal-dir`.
+    journal_flags: Vec<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -86,6 +89,7 @@ fn parse_args() -> Result<Args, String> {
         trace_sample: 0,
         config: ServiceConfig::default(),
         config_flags: Vec::new(),
+        journal_flags: Vec::new(),
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -140,11 +144,13 @@ fn parse_args() -> Result<Args, String> {
                 args.journal.fsync_every = value("--fsync-every")?
                     .parse()
                     .map_err(|e| format!("bad --fsync-every: {e}"))?;
+                args.journal_flags.push(flag);
             }
             "--compact-every" => {
                 args.journal.compact_every = value("--compact-every")?
                     .parse()
                     .map_err(|e| format!("bad --compact-every: {e}"))?;
+                args.journal_flags.push(flag);
             }
             "--help" | "-h" => {
                 println!(
@@ -159,15 +165,8 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
-    if args.journal_dir.is_none()
-        && args.journal.fsync_every != JournalOptions::default().fsync_every
-    {
-        return Err("--fsync-every needs --journal-dir".to_string());
-    }
-    if args.journal_dir.is_none()
-        && args.journal.compact_every != JournalOptions::default().compact_every
-    {
-        return Err("--compact-every needs --journal-dir".to_string());
+    if let (None, Some(flag)) = (&args.journal_dir, args.journal_flags.first()) {
+        return Err(format!("{flag} needs --journal-dir"));
     }
     if args.restore.is_some() && !args.config_flags.is_empty() {
         return Err(format!(
@@ -243,49 +242,89 @@ fn serve<C: CommandHandler>(
     );
 }
 
-/// Builds the coordinator a fresh journal starts from: restored from a
-/// snapshot file if `--restore` was given, empty with the flag topology
-/// otherwise.
-fn journal_seed(args: &Args) -> ShardCoordinator {
+/// The coordinator the daemon starts from: restored from a v5 snapshot file
+/// with `--restore`, empty with the flag topology otherwise.
+fn build_coordinator(args: &Args) -> ShardCoordinator {
     if let Some(path) = &args.restore {
         let json = std::fs::read_to_string(path)
             .unwrap_or_else(|e| fail(format!("cannot read snapshot {path}: {e}")));
-        match snapshot_version(&json) {
-            Some(3) | Some(4) => fail(format!(
-                "{path} is an old federated envelope; upgrade it first with \
-                 `oef-servicectl migrate-snapshot {path} <v5-file>`"
-            )),
-            Some(5) => ShardCoordinator::from_federated_json(&json).unwrap_or_else(|e| fail(e)),
-            // A v2 (unsharded) snapshot journals as a single-shard
-            // federation — wire-identical, and the v5 envelope is the only
-            // checkpoint format the journal writes.
-            _ => {
-                let envelope = oef_shard::wrap_v2_snapshot(&json)
-                    .unwrap_or_else(|e| fail(format!("{path}: {e}")));
-                let json = serde_json::to_string(&envelope)
-                    .unwrap_or_else(|e| fail(format!("cannot serialize envelope: {e}")));
-                ShardCoordinator::from_federated_json(&json).unwrap_or_else(|e| fail(e))
-            }
-        }
-    } else {
-        let placement = placement_from_name(&args.placement).unwrap_or_else(|| {
-            fail(format!(
-                "unknown placement `{}` (supported: least-loaded, round-robin)",
-                args.placement
-            ))
-        });
-        let topologies = (0..args.shards)
-            .map(|_| ClusterTopology::paper_cluster())
-            .collect();
-        ShardCoordinator::new(topologies, args.config.clone(), placement)
-            .unwrap_or_else(|e| fail(e))
+        let coordinator = ShardCoordinator::from_federated_json(&json)
+            .unwrap_or_else(|e| fail(format!("{path}: {e}")));
+        println!(
+            "oef-serviced restoring {} shard(s) from {path}",
+            coordinator.num_shards()
+        );
+        return coordinator;
     }
+    let placement = placement_from_name(&args.placement).unwrap_or_else(|| {
+        fail(format!(
+            "unknown placement `{}` (supported: least-loaded, round-robin)",
+            args.placement
+        ))
+    });
+    let topologies = (0..args.shards)
+        .map(|_| ClusterTopology::paper_cluster())
+        .collect();
+    ShardCoordinator::new(topologies, args.config.clone(), placement).unwrap_or_else(|e| fail(e))
 }
 
-fn snapshot_version(json: &str) -> Option<u64> {
-    serde_json::from_str::<serde::Value>(json)
-        .ok()
-        .and_then(|v| v.get("version").and_then(serde::Value::as_u64))
+/// Wraps the coordinator in its write-ahead journal: recovered from `dir`
+/// when it already holds one, a fresh journal around [`build_coordinator`]
+/// otherwise.
+fn open_journal(dir: &Path, args: &Args, tracer: Option<&Tracer>) -> Journaled {
+    if !dir.join("snapshot.json").exists() {
+        let coordinator = build_coordinator(args);
+        println!(
+            "oef-serviced journaling {} shard(s) into {} (fsync every {}, checkpoint every {})",
+            coordinator.num_shards(),
+            dir.display(),
+            args.journal.fsync_every,
+            args.journal.compact_every,
+        );
+        return Journaled::create(coordinator, dir, args.journal)
+            .unwrap_or_else(|e| fail(format!("cannot create journal in {}: {e}", dir.display())));
+    }
+    // Existing journal: the checkpoint + tail are authoritative; flags that
+    // would contradict them are refused, not ignored.
+    if let Some(path) = &args.restore {
+        fail(format!(
+            "{} already holds a journal; refusing --restore {path} (recover from \
+             the journal, or point --journal-dir at a fresh directory)",
+            dir.display()
+        ));
+    }
+    if !args.config_flags.is_empty() {
+        fail(format!(
+            "{} already holds a journal whose checkpoint embeds the configuration; \
+             drop the conflicting flag(s) {}",
+            dir.display(),
+            args.config_flags.join(", ")
+        ));
+    }
+    let (journaled, summary) = Journaled::recover_with(dir, args.journal, tracer)
+        .unwrap_or_else(|e| fail(format!("cannot recover from {}: {e}", dir.display())));
+    oef_trace::log_json(
+        "info",
+        "recovery",
+        "recovered from journal",
+        &[
+            ("dir", &dir.display().to_string()),
+            ("shards", &journaled.coordinator().num_shards().to_string()),
+            ("base_seq", &summary.base_seq.to_string()),
+            ("replayed", &summary.replayed.to_string()),
+            ("stale_skipped", &summary.stale_skipped.to_string()),
+            ("torn_bytes", &summary.torn_bytes.to_string()),
+            ("gap_dropped", &summary.gap_dropped.to_string()),
+            ("rounds", &summary.rounds.to_string()),
+        ],
+    );
+    println!(
+        "oef-serviced recovered {} shard(s) from {}: {} command(s) replayed",
+        journaled.coordinator().num_shards(),
+        dir.display(),
+        summary.replayed,
+    );
+    journaled
 }
 
 fn main() {
@@ -302,151 +341,24 @@ fn main() {
             TraceRing::new(oef_trace::DEFAULT_TOP_K, oef_trace::DEFAULT_RECENT),
         )
     });
-
-    if let Some(dir) = &args.journal_dir {
-        let dir = Path::new(dir);
-        let journaled = if dir.join("snapshot.json").exists() {
-            // Existing journal: the checkpoint + tail are authoritative;
-            // flags that would contradict them are refused, not ignored.
-            if let Some(path) = &args.restore {
-                fail(format!(
-                    "{} already holds a journal; refusing --restore {path} (recover from \
-                     the journal, or point --journal-dir at a fresh directory)",
-                    dir.display()
-                ));
-            }
-            if !args.config_flags.is_empty() {
-                fail(format!(
-                    "{} already holds a journal whose checkpoint embeds the configuration; \
-                     drop the conflicting flag(s) {}",
-                    dir.display(),
-                    args.config_flags.join(", ")
-                ));
-            }
-            let (journaled, summary) = Journaled::recover_with(dir, args.journal, tracer.as_ref())
-                .unwrap_or_else(|e| fail(format!("cannot recover from {}: {e}", dir.display())));
-            oef_trace::log_json(
-                "info",
-                "recovery",
-                "recovered from journal",
-                &[
-                    ("dir", &dir.display().to_string()),
-                    ("shards", &journaled.coordinator().num_shards().to_string()),
-                    ("base_seq", &summary.base_seq.to_string()),
-                    ("replayed", &summary.replayed.to_string()),
-                    ("stale_skipped", &summary.stale_skipped.to_string()),
-                    ("torn_bytes", &summary.torn_bytes.to_string()),
-                    ("gap_dropped", &summary.gap_dropped.to_string()),
-                    ("rounds", &summary.rounds.to_string()),
-                ],
+    let metrics_addr = args.metrics_addr.as_deref();
+    match &args.journal_dir {
+        Some(dir) => {
+            let journaled = open_journal(Path::new(dir), &args, tracer.as_ref());
+            serve(
+                journaled,
+                &args.addr,
+                metrics_addr,
+                tracer,
+                Journaled::rounds_run,
             );
-            println!(
-                "oef-serviced recovered {} shard(s) from {}: {} command(s) replayed",
-                journaled.coordinator().num_shards(),
-                dir.display(),
-                summary.replayed,
-            );
-            journaled
-        } else {
-            let coordinator = journal_seed(&args);
-            println!(
-                "oef-serviced journaling {} shard(s) into {} (fsync every {}, checkpoint every {})",
-                coordinator.num_shards(),
-                dir.display(),
-                args.journal.fsync_every,
-                args.journal.compact_every,
-            );
-            Journaled::create(coordinator, dir, args.journal).unwrap_or_else(|e| {
-                fail(format!("cannot create journal in {}: {e}", dir.display()))
-            })
-        };
-        serve(
-            journaled,
-            &args.addr,
-            args.metrics_addr.as_deref(),
-            tracer,
-            Journaled::rounds_run,
-        );
-        return;
-    }
-
-    if let Some(path) = &args.restore {
-        let json = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| fail(format!("cannot read snapshot {path}: {e}")));
-        // The snapshot's version field decides the daemon's shape: a v2
-        // snapshot restores the classic unsharded service, a v5 envelope a
-        // full federation.
-        match snapshot_version(&json) {
-            Some(3) => {
-                fail(format!(
-                    "{path} is a v3 federated envelope (predates handle forwarding); upgrade \
-                     it first with `oef-servicectl migrate-snapshot {path} <v5-file>`"
-                ));
-            }
-            Some(4) => {
-                fail(format!(
-                    "{path} is a v4 federated envelope (predates the command journal); upgrade \
-                     it first with `oef-servicectl migrate-snapshot {path} <v5-file>`"
-                ));
-            }
-            Some(5) => {
-                let coordinator =
-                    ShardCoordinator::from_federated_json(&json).unwrap_or_else(|e| fail(e));
-                println!(
-                    "oef-serviced restoring {} shard(s) from {path}",
-                    coordinator.num_shards()
-                );
-                serve(
-                    coordinator,
-                    &args.addr,
-                    args.metrics_addr.as_deref(),
-                    tracer,
-                    ShardCoordinator::rounds_run,
-                );
-            }
-            _ => {
-                let service =
-                    SchedulerService::from_snapshot_json(&json).unwrap_or_else(|e| fail(e));
-                serve(
-                    service,
-                    &args.addr,
-                    args.metrics_addr.as_deref(),
-                    tracer,
-                    SchedulerService::rounds_run,
-                );
-            }
         }
-        return;
-    }
-
-    if args.shards > 1 {
-        let placement = placement_from_name(&args.placement).unwrap_or_else(|| {
-            fail(format!(
-                "unknown placement `{}` (supported: least-loaded, round-robin)",
-                args.placement
-            ))
-        });
-        let topologies = (0..args.shards)
-            .map(|_| ClusterTopology::paper_cluster())
-            .collect();
-        let coordinator = ShardCoordinator::new(topologies, args.config.clone(), placement)
-            .unwrap_or_else(|e| fail(e));
-        serve(
-            coordinator,
+        None => serve(
+            build_coordinator(&args),
             &args.addr,
-            args.metrics_addr.as_deref(),
+            metrics_addr,
             tracer,
             ShardCoordinator::rounds_run,
-        );
-    } else {
-        let service = SchedulerService::new(ClusterTopology::paper_cluster(), args.config.clone())
-            .unwrap_or_else(|e| fail(e));
-        serve(
-            service,
-            &args.addr,
-            args.metrics_addr.as_deref(),
-            tracer,
-            SchedulerService::rounds_run,
-        );
+        ),
     }
 }

@@ -24,12 +24,13 @@
 //!   to sit in the warm-start sweet spot while the solves overlap on separate
 //!   cores.
 //! * `Status` / `Metrics` aggregate across shards; `Snapshot` / `Restore`
-//!   speak the federated v5 envelope (per-shard v2 snapshots + placement
-//!   cursor + forwarding table + rebalancer config + the journal sequence
-//!   number the snapshot covers).
+//!   speak the federated v5 envelope (per-shard `SchedulerService`
+//!   records, placement cursor, forwarding table, rebalancer config and
+//!   the journal sequence number the snapshot covers).
 //!
 //! Shard 0 uses the identity handle encoding, so a single-shard coordinator
-//! is wire-indistinguishable from an unsharded daemon.
+//! — the daemon's default shape — mints exactly the handles a lone
+//! `SchedulerService` would.
 
 use crate::placement::{ShardLoad, ShardPlacement};
 use crate::snapshot::{
@@ -207,10 +208,10 @@ impl ShardCoordinator {
     ///
     /// # Errors
     ///
-    /// Fails on malformed envelopes, version mismatches (v2, v3 and v4
-    /// snapshots are pointed at `oef-servicectl migrate-snapshot`), unknown placement
-    /// strategies or rebalance policies, corrupted forwarding tables, and
-    /// any per-shard v2 validation failure.
+    /// Fails on malformed envelopes, any version other than v5, unknown
+    /// placement strategies or rebalance policies, corrupted forwarding
+    /// tables, and any per-shard `SchedulerService` restore validation
+    /// failure.
     pub fn from_federated_json(snapshot: &str) -> Result<Self, ServiceError> {
         let parsed = Self::parse_federated(snapshot)?;
         let solve_ewma = vec![0.0; parsed.shards.len()];
@@ -236,38 +237,17 @@ impl ShardCoordinator {
     fn parse_federated(snapshot: &str) -> Result<ParsedFederation, ServiceError> {
         let value: serde::Value =
             serde_json::from_str(snapshot).map_err(|e| ServiceError::BadSnapshot(e.to_string()))?;
-        match value.get("version").and_then(serde::Value::as_u64) {
-            Some(v) if v == u64::from(FEDERATED_SNAPSHOT_VERSION) => {}
-            Some(2) => {
-                return Err(ServiceError::BadSnapshot(format!(
-                    "this is a v2 single-shard snapshot; restore it on an unsharded daemon, or \
-                     wrap it into a v{FEDERATED_SNAPSHOT_VERSION} envelope with `oef-servicectl \
-                     migrate-snapshot`"
-                )));
-            }
-            Some(3) => {
-                return Err(ServiceError::BadSnapshot(format!(
-                    "this is a v3 federated envelope (predates handle forwarding); upgrade it \
-                     to v{FEDERATED_SNAPSHOT_VERSION} with `oef-servicectl migrate-snapshot`"
-                )));
-            }
-            Some(4) => {
-                return Err(ServiceError::BadSnapshot(format!(
-                    "this is a v4 federated envelope (predates the command journal); upgrade \
-                     it to v{FEDERATED_SNAPSHOT_VERSION} with `oef-servicectl migrate-snapshot`"
-                )));
-            }
-            Some(v) => {
-                return Err(ServiceError::BadSnapshot(format!(
-                    "federated snapshot version {v} is not supported (coordinator supports \
-                     {FEDERATED_SNAPSHOT_VERSION})"
-                )));
-            }
-            None => {
-                return Err(ServiceError::BadSnapshot(
-                    "snapshot has no numeric `version` field".to_string(),
-                ));
-            }
+        // v5 is the only format: anything else is outside input this build
+        // cannot read, refused with one message naming the supported version.
+        let version = value.get("version").and_then(serde::Value::as_u64);
+        if version != Some(u64::from(FEDERATED_SNAPSHOT_VERSION)) {
+            let found = version.map_or("no numeric `version` field".to_string(), |v| {
+                format!("version {v}")
+            });
+            return Err(ServiceError::BadSnapshot(format!(
+                "snapshot has {found}; only v{FEDERATED_SNAPSHOT_VERSION} federated envelopes \
+                 can be restored"
+            )));
         }
         let envelope = FederatedSnapshot::deserialize(&value)
             .map_err(|e| ServiceError::BadSnapshot(e.to_string()))?;
@@ -291,9 +271,9 @@ impl ShardCoordinator {
                 ))
             })?;
         placement.restore_cursor(envelope.placement.cursor);
-        // Each shard entry goes through the complete unsharded restore path,
-        // so every v2 validation (identity maps, topology invariants) applies
-        // per shard.
+        // Each shard entry goes through the complete `SchedulerService`
+        // restore path, so every record validation (identity maps, topology
+        // invariants) applies per shard.
         let mut shards: Vec<oef_service::SchedulerService> =
             Vec::with_capacity(envelope.shards.len());
         for (i, entry) in envelope.shards.iter().enumerate() {
@@ -1069,7 +1049,7 @@ impl ShardCoordinator {
         // The coordinator's metrics, migration counter and uptime describe
         // this process, not the restored state; the shard count, forwarding
         // table and rebalancer config follow the snapshot.  Like the
-        // unsharded restore path, the running queue capacity stays
+        // `SchedulerService` restore path, the running queue capacity stays
         // authoritative — the server's bounded queue was sized at spawn and
         // cannot be resized live.  The solve EWMA restarts cold (it is a
         // live load signal, not durable state).
@@ -1344,23 +1324,6 @@ mod tests {
         let from_restored = join(&mut restored, "b");
         assert_eq!(from_original, from_restored);
         assert_ne!(sharded::shard_of(first), sharded::shard_of(from_original));
-    }
-
-    #[test]
-    fn v2_snapshots_are_pointed_at_the_migration_tool() {
-        let mut single = oef_service::SchedulerService::new(
-            ClusterTopology::paper_cluster(),
-            ServiceConfig::default(),
-        )
-        .unwrap();
-        let Response::Snapshot { snapshot } = single.apply(Command::Snapshot, 0) else {
-            panic!("snapshot failed");
-        };
-        let err = ShardCoordinator::from_federated_json(&snapshot).unwrap_err();
-        let ServiceError::BadSnapshot(reason) = err else {
-            panic!("expected BadSnapshot");
-        };
-        assert!(reason.contains("migrate-snapshot"), "reason: {reason}");
     }
 
     fn submit(c: &mut ShardCoordinator, tenant: u64) -> u64 {
@@ -1668,37 +1631,83 @@ mod tests {
         assert!(reason.contains("cycle"), "reason: {reason}");
     }
 
-    #[test]
-    fn v3_snapshots_are_pointed_at_the_migration_tool() {
+    /// Asserts `json` is refused as a bad snapshot whose reason names v5,
+    /// and returns the reason.
+    fn refused_naming_v5(json: &str) -> String {
+        let err = ShardCoordinator::from_federated_json(json).unwrap_err();
+        let ServiceError::BadSnapshot(reason) = err else {
+            panic!("expected BadSnapshot, got {err:?}");
+        };
+        assert!(reason.contains("v5"), "reason: {reason}");
+        reason
+    }
+
+    fn v5_envelope() -> String {
         let mut c = coordinator(2);
         let Response::Snapshot { snapshot } = c.apply(Command::Snapshot, 0) else {
             panic!("snapshot failed");
         };
-        let v3 = snapshot.replace("\"version\":5", "\"version\":3");
-        assert_ne!(v3, snapshot, "fixture must actually downgrade");
-        let err = ShardCoordinator::from_federated_json(&v3).unwrap_err();
-        let ServiceError::BadSnapshot(reason) = err else {
-            panic!("expected BadSnapshot");
+        snapshot
+    }
+
+    // The v2/v3/v4 tests keep their names from when those formats were
+    // handed to a migration tool; the tool is gone and each is now refused
+    // outright with a reason naming the one supported version, v5.
+    #[test]
+    fn v2_snapshots_are_pointed_at_the_migration_tool() {
+        let mut single = oef_service::SchedulerService::new(
+            ClusterTopology::paper_cluster(),
+            ServiceConfig::default(),
+        )
+        .unwrap();
+        let Response::Snapshot { snapshot } = single.apply(Command::Snapshot, 0) else {
+            panic!("snapshot failed");
         };
-        assert!(reason.contains("migrate-snapshot"), "reason: {reason}");
+        let reason = refused_naming_v5(&snapshot);
+        assert!(reason.contains("version 2"), "reason: {reason}");
+    }
+
+    #[test]
+    fn v3_snapshots_are_pointed_at_the_migration_tool() {
+        let v5 = v5_envelope();
+        let v3 = v5.replace("\"version\":5", "\"version\":3");
+        assert_ne!(v3, v5, "fixture must actually downgrade");
+        let reason = refused_naming_v5(&v3);
+        assert!(reason.contains("version 3"), "reason: {reason}");
     }
 
     #[test]
     fn v4_snapshots_are_pointed_at_the_migration_tool() {
-        let mut c = coordinator(2);
-        let Response::Snapshot { snapshot } = c.apply(Command::Snapshot, 0) else {
-            panic!("snapshot failed");
-        };
-        let v4 = snapshot
+        let v5 = v5_envelope();
+        let v4 = v5
             .replace("\"version\":5", "\"version\":4")
             .replace(",\"journal_seq\":0", "");
-        assert_ne!(v4, snapshot, "fixture must actually downgrade");
-        let err = ShardCoordinator::from_federated_json(&v4).unwrap_err();
+        assert_ne!(v4, v5, "fixture must actually downgrade");
+        let reason = refused_naming_v5(&v4);
+        assert!(reason.contains("version 4"), "reason: {reason}");
+    }
+
+    #[test]
+    fn non_v5_snapshots_are_refused_naming_v5() {
+        let v5 = v5_envelope();
+        let relabel = |version: &str| v5.replace("\"version\":5", version);
+        let cases = [
+            ("v6 envelope", relabel("\"version\":6")),
+            ("no version", relabel("\"unversioned\":5")),
+        ];
+        for (what, json) in cases {
+            assert_ne!(json, v5, "{what}: fixture must differ from the v5 envelope");
+            refused_naming_v5(&json);
+        }
+        // A v5 envelope is only as good as its shard records: each one goes
+        // through the full `SchedulerService` restore validation.
+        let corrupt = v5.replace("\"version\":2", "\"version\":7");
+        assert_ne!(corrupt, v5, "fixture must hit a shard record");
+        let err = ShardCoordinator::from_federated_json(&corrupt).unwrap_err();
         let ServiceError::BadSnapshot(reason) = err else {
-            panic!("expected BadSnapshot");
+            panic!("expected BadSnapshot, got {err:?}");
         };
-        assert!(reason.contains("migrate-snapshot"), "reason: {reason}");
-        assert!(reason.contains("journal"), "reason: {reason}");
+        assert!(reason.starts_with("shard 0:"), "reason: {reason}");
     }
 
     #[test]

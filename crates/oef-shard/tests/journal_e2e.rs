@@ -9,7 +9,8 @@
 //! `oef-serviced` binary mid-trace and recovers it over loopback TCP, a
 //! rebalance-specific test (the one apply-before-journal path), and a
 //! clean-shutdown test proving the exit checkpoint makes tail replay
-//! unnecessary.
+//! unnecessary.  One more test runs the binary to exit on start-up misuse:
+//! journal flags without a journal, and a non-v5 `--restore` file.
 
 use oef_cluster::ClusterTopology;
 use oef_core::sharded;
@@ -520,6 +521,76 @@ fn spawn_serviced(args: &[&str]) -> (std::process::Child, String) {
     // full stdout pipe.
     std::thread::spawn(move || for _ in lines {});
     (child, addr)
+}
+
+/// Runs the daemon with `args` until it exits on its own and returns its
+/// exit status and stderr; a daemon still running after 10 s accepted the
+/// flags it should have refused, and is killed.
+fn run_serviced_to_exit(args: &[&str]) -> (std::process::ExitStatus, String) {
+    use std::io::Read;
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_oef-serviced"))
+        .args(args)
+        .stdin(std::process::Stdio::null())
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn oef-serviced");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll oef-serviced") {
+            break status;
+        }
+        if std::time::Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("oef-serviced {args:?} kept serving instead of refusing");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .expect("stderr piped")
+        .read_to_string(&mut stderr)
+        .expect("daemon stderr");
+    (status, stderr)
+}
+
+/// Journal flags without `--journal-dir` are refused even at their default
+/// values, and a snapshot in any format but v5 is refused at start.
+#[test]
+fn misused_flags_and_non_v5_restores_exit_with_a_message() {
+    let dir = fresh_dir("refusals");
+    std::fs::create_dir_all(&dir).unwrap();
+    let service_snapshot = dir.join("service-snapshot.json");
+    let service = oef_service::SchedulerService::new(
+        ClusterTopology::paper_cluster(),
+        ServiceConfig::default(),
+    )
+    .unwrap();
+    std::fs::write(&service_snapshot, service.snapshot_json().unwrap()).unwrap();
+    let service_snapshot = service_snapshot.to_str().unwrap();
+
+    let cases: [(&[&str], &str); 3] = [
+        (&["--fsync-every", "1"], "--fsync-every needs --journal-dir"),
+        (
+            &["--compact-every", "4096"],
+            "--compact-every needs --journal-dir",
+        ),
+        (&["--restore", service_snapshot], "only v5"),
+    ];
+    for (flags, message) in cases {
+        let mut args = vec!["--addr", "127.0.0.1:0"];
+        args.extend_from_slice(flags);
+        let (status, stderr) = run_serviced_to_exit(&args);
+        assert!(!status.success(), "{flags:?} must exit non-zero");
+        assert!(
+            stderr.contains(message),
+            "{flags:?}: stderr lacks `{message}`: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The ultimate fault: `kill -9` the real daemon mid-trace, restart it from

@@ -7,14 +7,17 @@
 //! placed *after* the restore (the placement cursor travels with the
 //! envelope).  A second test drives the federation over real loopback TCP
 //! and proves a tenant's handle keeps working while a *different* shard
-//! churns hosts.  A third proves `migrate-snapshot` semantics: a v2 snapshot
-//! wrapped into a v3 envelope serves the same state, same handles, through a
-//! 1-shard coordinator.
+//! churns hosts.  A third proves the daemon's default one-shard federation
+//! is the standalone `SchedulerService` it wraps: one command script yields
+//! identical handles and allocations through both, also across a v5
+//! snapshot/restore of the federation.
 
 use oef_cluster::ClusterTopology;
 use oef_core::sharded;
-use oef_service::{Command, Response, RoundSummary, Server, ServiceClient, ServiceConfig};
-use oef_shard::{placement_from_name, wrap_v2_snapshot, ShardCoordinator};
+use oef_service::{
+    Command, Response, RoundSummary, SchedulerService, Server, ServiceClient, ServiceConfig,
+};
+use oef_shard::{placement_from_name, ShardCoordinator};
 
 fn coordinator(shards: usize) -> ShardCoordinator {
     ShardCoordinator::new(
@@ -250,59 +253,112 @@ fn tenant_handle_survives_other_shards_host_churn_over_tcp() {
     server.join();
 }
 
-#[test]
-fn migrated_v2_snapshot_serves_identical_state_through_one_shard() {
-    // Build an unsharded daemon with some state and snapshot it (v2).
-    let mut single = oef_service::SchedulerService::new(
-        ClusterTopology::paper_cluster(),
-        ServiceConfig::default(),
-    )
-    .unwrap();
-    let Response::TenantJoined { tenant } = single.apply(
-        Command::TenantJoin {
-            name: "alice".into(),
+/// A standalone `SchedulerService` and a one-shard federation fed the same
+/// commands.
+struct Twins {
+    service: SchedulerService,
+    federation: ShardCoordinator,
+}
+
+impl Twins {
+    /// Applies `command` to both and asserts identical replies (same handles,
+    /// same job ids); returns the reply.
+    fn both(&mut self, command: Command) -> Response {
+        let expected = self.service.apply(command.clone(), 0);
+        let observed = self.federation.apply(command, 0);
+        assert_eq!(observed, expected, "federation reply diverged");
+        expected
+    }
+
+    fn join(&mut self, name: &str, speedup: &[f64]) -> u64 {
+        match self.both(Command::TenantJoin {
+            name: name.into(),
             weight: 1,
-            speedup: vec![1.0, 1.2, 1.4],
-        },
-        0,
-    ) else {
-        panic!("join failed");
-    };
-    single.apply(
-        Command::SubmitJob {
+            speedup: speedup.to_vec(),
+        }) {
+            Response::TenantJoined { tenant } => tenant,
+            other => panic!("join failed: {other:?}"),
+        }
+    }
+
+    fn submit(&mut self, tenant: u64) {
+        let r = self.both(Command::SubmitJob {
             tenant,
-            model: "m".into(),
+            model: "model".into(),
             workers: 2,
             total_work: 1e9,
-        },
-        0,
-    );
-    single.apply(Command::Tick, 0);
-    let Response::Snapshot { snapshot: v2 } = single.apply(Command::Snapshot, 0) else {
-        panic!("snapshot failed");
-    };
+        });
+        assert!(matches!(r, Response::JobSubmitted { .. }), "{r:?}");
+    }
 
-    // Wrap into a v3 envelope and restore it as a 1-shard federation.
-    let envelope = wrap_v2_snapshot(&v2).unwrap();
-    let json = serde_json::to_string(&envelope).unwrap();
-    let mut federated = ShardCoordinator::from_federated_json(&json).unwrap();
-    assert_eq!(federated.num_shards(), 1);
-    assert_eq!(federated.rounds_run(), 1);
+    /// Runs one round on both and asserts the summaries agree to 1e-6.
+    fn tick(&mut self) {
+        let Response::RoundCompleted(expected) = self.service.apply(Command::Tick, 0) else {
+            panic!("service tick failed");
+        };
+        let observed = tick(&mut self.federation);
+        assert_rounds_match(
+            std::slice::from_ref(&expected),
+            std::slice::from_ref(&observed),
+        );
+    }
+}
 
-    // Shard 0 is the identity encoding: the v2 tenant handle works verbatim,
-    // and both daemons produce the same next round.
-    let Response::RoundCompleted(single_round) = single.apply(Command::Tick, 0) else {
-        panic!("tick failed");
+#[test]
+fn one_shard_federation_matches_a_standalone_service_across_v5_restore() {
+    let mut twins = Twins {
+        service: SchedulerService::new(ClusterTopology::paper_cluster(), ServiceConfig::default())
+            .unwrap(),
+        federation: coordinator(1),
     };
-    let Response::RoundCompleted(fed_round) = federated.apply(Command::Tick, 0) else {
-        panic!("tick failed");
+    let profiles: [&[f64]; 3] = [&[1.0, 1.18, 1.39], &[1.0, 1.55, 2.15], &[1.0, 1.25, 1.55]];
+    let tenants: Vec<u64> = profiles
+        .iter()
+        .enumerate()
+        .map(|(i, profile)| twins.join(&format!("tenant-{i}"), profile))
+        .collect();
+    for &tenant in &tenants {
+        twins.submit(tenant);
+        assert_eq!(
+            sharded::shard_of(tenant),
+            0,
+            "one shard mints shard-0 handles"
+        );
+    }
+    twins.tick();
+    let Response::HostAdded { host } = twins.both(Command::AddHost {
+        gpu_type: 1,
+        num_gpus: 4,
+    }) else {
+        panic!("add host failed");
     };
-    assert_rounds_match(
-        std::slice::from_ref(&single_round),
-        std::slice::from_ref(&fed_round),
-    );
-    assert_eq!(fed_round.tenants[0].tenant, tenant);
+    twins.tick();
+    twins.tick();
 
-    let r = federated.apply(Command::TenantLeave { tenant }, 0);
+    // Snapshot the federation to v5 and carry on from the restored copy;
+    // the standalone service runs on uninterrupted.
+    let snapshot = twins.federation.snapshot_json().unwrap();
+    twins.federation = ShardCoordinator::from_federated_json(&snapshot).unwrap();
+    assert_eq!(twins.federation.num_shards(), 1);
+    assert_eq!(twins.federation.rounds_run(), 3);
+
+    let r = twins.both(Command::RemoveHost { handle: host });
+    assert!(matches!(r, Response::HostRemoved { .. }), "{r:?}");
+    let r = twins.both(Command::TenantLeave { tenant: tenants[1] });
     assert!(matches!(r, Response::TenantLeft { .. }), "{r:?}");
+    let late = twins.join("late-tenant", &[1.0, 1.30, 1.70]);
+    twins.submit(late);
+    for _ in 0..3 {
+        twins.tick();
+    }
+    assert_eq!(
+        twins.federation.shards()[0].tenant_handles(),
+        twins.service.tenant_handles(),
+        "tenant identity"
+    );
+    assert_eq!(
+        twins.federation.shards()[0].state(),
+        twins.service.state(),
+        "cluster state"
+    );
 }
